@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz 'FuzzStoreDistanceSq$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom/ -run '^$$' -fuzz FuzzDistanceSqBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzShardAssign -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dbscan/ -run '^$$' -fuzz FuzzPrunedExpansion -fuzztime $(FUZZTIME)
 
 # Full benchmark sweep: one benchmark per paper figure/table plus the
 # ablations. Expect several minutes (Figure 8 runs a 203,000-point study).

@@ -126,71 +126,61 @@ func Run(idx index.Index, params Params, opts Options) (*Result, error) {
 	// on the strided kernels by object id.
 	st := index.StoreOf(idx)
 	var clusterID cluster.ID
-	// seeds and nbuf are reused across queries to avoid per-object
-	// allocations; every query result is fully consumed before the next
-	// query overwrites the buffer. Queries go by object id (RangeIntoID), so
-	// store-backed indexes never materialise a query point. bs carries the
+	// exp answers the region queries and tracks which objects are settled
+	// (labelled with a cluster id): once a query's core test is decided it
+	// skips them, because the expansion only acts on open neighbours and
+	// labels never move back from settled. Its open neighbours keep the full
+	// query's order, so seed order, Scor and ε_s match an unpruned run.
+	// seeds and nbuf are reused across queries; every query result is fully
+	// consumed before the next query overwrites the buffer. bs carries the
 	// batched-fold buffers of the specific-core bookkeeping.
+	exp := index.NewExpansion(idx)
 	var seeds, nbuf []int
 	var bs batchScratch
 	for i := 0; i < n; i++ {
 		if res.Labels[i] != cluster.Unclassified {
 			continue
 		}
-		neighbors := index.RangeIntoID(idx, i, params.Eps, nbuf)
-		nbuf = neighbors
-		res.RangeQueries++
-		if len(neighbors) < params.MinPts {
-			res.Labels[i] = cluster.Noise
-			continue
-		}
-		// i is a core object: it starts a new cluster and, being the first
-		// core point processed for this cluster, is always a specific core
-		// point.
-		res.Core[i] = true
-		res.Labels[i] = clusterID
-		if opts.CollectSpecificCores {
-			res.Scor[clusterID] = append(res.Scor[clusterID], i)
-		}
-		seeds = seeds[:0]
-		for _, q := range neighbors {
-			if q == i {
-				continue
-			}
-			switch res.Labels[q] {
-			case cluster.Unclassified:
-				res.Labels[q] = clusterID
-				seeds = append(seeds, q)
-			case cluster.Noise:
-				// Former noise in reach of a core object becomes a border
-				// object of this cluster.
-				res.Labels[q] = clusterID
-			}
-		}
+		// i starts a new cluster if it is core; the first core point of a
+		// cluster is always a specific core point.
+		seeds = append(seeds[:0], i)
 		for len(seeds) > 0 {
 			q := seeds[len(seeds)-1]
 			seeds = seeds[:len(seeds)-1]
-			qNeighbors := index.RangeIntoID(idx, q, params.Eps, nbuf)
-			nbuf = qNeighbors
+			core, open := exp.Expand(q, params.Eps, params.MinPts, nbuf)
+			nbuf = open
 			res.RangeQueries++
-			if len(qNeighbors) < params.MinPts {
-				continue // q is a border object
+			if !core {
+				if q == i {
+					res.Labels[i] = cluster.Noise
+				}
+				continue // q is noise or a border object
+			}
+			if q == i {
+				res.Labels[i] = clusterID
+				exp.Settle(i)
 			}
 			res.Core[q] = true
 			if opts.CollectSpecificCores {
 				res.maybeAddSpecificCore(idx, metric, st, clusterID, q, &bs)
 			}
-			for _, r := range qNeighbors {
+			for _, r := range open {
 				switch res.Labels[r] {
 				case cluster.Unclassified:
-					res.Labels[r] = clusterID
 					seeds = append(seeds, r)
 				case cluster.Noise:
-					res.Labels[r] = clusterID
+					// Former noise in reach of a core object becomes a
+					// border object of this cluster.
+				default:
+					continue
 				}
+				res.Labels[r] = clusterID
+				exp.Settle(r)
 			}
 		}
-		clusterID++
+		if res.Core[i] {
+			clusterID++
+		}
 	}
 	if opts.CollectSpecificCores {
 		res.computeSpecificEps(idx, metric, st, &bs)

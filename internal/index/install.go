@@ -8,6 +8,13 @@ import (
 	"github.com/dbdc-go/dbdc/internal/index/rstar"
 )
 
+// Both trees track DBSCAN expansions natively; the assertion keeps the
+// rstar restatement of Expansion in step with this package's.
+var (
+	_ Expander = (*KDTree)(nil)
+	_ Expander = (*rstar.Tree)(nil)
+)
+
 // The tree indexes live in subpackages; register their builders here so
 // Build can construct every kind by name.
 func init() {

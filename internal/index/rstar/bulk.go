@@ -55,7 +55,8 @@ func NewBulkWithFanout(pts []geom.Point, maxEntries int) (*Tree, error) {
 		entries = t.strPack(entries, level)
 		level++
 	}
-	t.root = &node{level: level, entries: entries}
+	t.root = &node{level: level, entries: entries, id: int32(t.numbered)}
+	t.numbered++
 	return t, nil
 }
 
@@ -100,7 +101,8 @@ func NewBulkStore(st *geom.Store, maxEntries int) (*Tree, error) {
 		entries = t.strPack(entries, level)
 		level++
 	}
-	t.root = &node{level: level, entries: entries}
+	t.root = &node{level: level, entries: entries, id: int32(t.numbered)}
+	t.numbered++
 	return t, nil
 }
 
@@ -110,7 +112,8 @@ func (t *Tree) strPack(entries []entry, level int) []entry {
 	groups := strGroups(entries, t.maxEntries, t.dim)
 	out := make([]entry, len(groups))
 	for i, g := range groups {
-		n := &node{level: level, entries: g}
+		n := &node{level: level, entries: g, id: int32(t.numbered)}
+		t.numbered++
 		out[i] = entry{rect: n.mbr(), child: n}
 	}
 	return out

@@ -29,6 +29,8 @@ func (t *Tree) Delete(idx int) error {
 	}
 	_ = p
 	t.size--
+	// Reinsertion below may split nodes, which carry no bulk-load id.
+	t.numbered = 0
 	orphans := t.condense(path)
 	// Reinsert orphaned entries, higher levels first so subtree entries
 	// find a sufficiently tall tree.

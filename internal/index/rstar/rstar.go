@@ -44,6 +44,10 @@ type Tree struct {
 	// scratch pools the batched-search candidate and distance buffers so
 	// concurrent range queries stay allocation-free in steady state.
 	scratch sync.Pool
+	// numbered is the number of nodes the bulk load gave ids to, the key
+	// space of an Expansion's per-node counters; 0 for trees built by
+	// insertion and once Delete has restructured the tree.
+	numbered int
 }
 
 type entry struct {
@@ -55,6 +59,7 @@ type entry struct {
 type node struct {
 	level   int // 0 = leaf
 	entries []entry
+	id      int32 // bulk-load number; see Tree.numbered
 }
 
 func (n *node) leaf() bool { return n.level == 0 }

@@ -63,8 +63,8 @@ func (d *LocalDelta) Validate() error {
 	if d.Kind != RepScor && d.Kind != RepKMeans {
 		return fmt.Errorf("model: unknown model kind %q", d.Kind)
 	}
-	if d.EpsLocal <= 0 {
-		return fmt.Errorf("model: non-positive EpsLocal %v", d.EpsLocal)
+	if !positiveFinite(d.EpsLocal) {
+		return fmt.Errorf("model: EpsLocal %v is not positive and finite", d.EpsLocal)
 	}
 	if d.Seq == 0 {
 		return fmt.Errorf("model: delta with sequence number 0")
@@ -102,8 +102,8 @@ func (d *LocalDelta) Validate() error {
 			return fmt.Errorf("model: added representative %d has dimension %d, want %d",
 				i, r.Point.Dim(), dim)
 		}
-		if r.Eps <= 0 {
-			return fmt.Errorf("model: added representative %d has non-positive eps %v", i, r.Eps)
+		if !positiveFinite(r.Eps) {
+			return fmt.Errorf("model: added representative %d has eps %v, not positive and finite", i, r.Eps)
 		}
 		if r.LocalCluster < 0 {
 			return fmt.Errorf("model: added representative %d has invalid local cluster %d",

@@ -62,11 +62,13 @@ type DiffOptions struct {
 	Metrics bool
 }
 
-// Diff compares two parsed benchmark reports entry by entry (exact name
-// match, the -GOMAXPROCS suffix included) and classifies each shared
-// column against the relative noise threshold. Entries present on only
-// one side are reported as Added/Removed and never fail a diff. The
-// entry order follows the new report, removed entries last.
+// Diff compares two parsed benchmark reports entry by entry and classifies
+// each shared column against the relative noise threshold. Entries pair up
+// by name without the -GOMAXPROCS suffix (see benchKey), so artifacts from
+// hosts with different core counts still compare; the host warnings flag
+// such diffs. Entries present on only one side are reported as
+// Added/Removed and never fail a diff. The entry order follows the new
+// report, removed entries last.
 func Diff(oldRep, newRep *Report, opts DiffOptions) *DiffResult {
 	threshold := opts.Threshold
 	if threshold <= 0 {
@@ -75,13 +77,14 @@ func Diff(oldRep, newRep *Report, opts DiffOptions) *DiffResult {
 	res := &DiffResult{Threshold: threshold}
 	oldByName := make(map[string]*Entry, len(oldRep.Entries))
 	for i := range oldRep.Entries {
-		oldByName[oldRep.Entries[i].Name] = &oldRep.Entries[i]
+		oldByName[benchKey(oldRep, oldRep.Entries[i].Name)] = &oldRep.Entries[i]
 	}
 	seen := make(map[string]bool, len(newRep.Entries))
 	for i := range newRep.Entries {
 		ne := &newRep.Entries[i]
-		seen[ne.Name] = true
-		oe, ok := oldByName[ne.Name]
+		key := benchKey(newRep, ne.Name)
+		seen[key] = true
+		oe, ok := oldByName[key]
 		if !ok {
 			res.Entries = append(res.Entries, DiffEntry{
 				Name: ne.Name, Column: "ns/op", New: ne.NsPerOp, Verdict: Added,
@@ -109,13 +112,22 @@ func Diff(oldRep, newRep *Report, opts DiffOptions) *DiffResult {
 		}
 	}
 	for i := range oldRep.Entries {
-		if oe := &oldRep.Entries[i]; !seen[oe.Name] {
+		if oe := &oldRep.Entries[i]; !seen[benchKey(oldRep, oe.Name)] {
 			res.Entries = append(res.Entries, DiffEntry{
 				Name: oe.Name, Column: "ns/op", Old: oe.NsPerOp, Verdict: Removed,
 			})
 		}
 	}
 	return res
+}
+
+// benchKey is an entry's name without the -GOMAXPROCS suffix go test
+// appends when GOMAXPROCS > 1.
+func benchKey(rep *Report, name string) string {
+	if rep.GoMaxProcs > 1 {
+		return strings.TrimSuffix(name, fmt.Sprintf("-%d", rep.GoMaxProcs))
+	}
+	return name
 }
 
 // compare appends one classified column row.

@@ -50,6 +50,23 @@ func TestDiffVerdicts(t *testing.T) {
 	}
 }
 
+// TestDiffAcrossCoreCounts: go test names an entry "BenchmarkA" at
+// GOMAXPROCS 1 and "BenchmarkA-2" at 2; the two must still pair up.
+func TestDiffAcrossCoreCounts(t *testing.T) {
+	oldRep := rep(entry("BenchmarkA", 100), entry("BenchmarkB/workers=2", 100))
+	oldRep.GoMaxProcs = 1
+	newRep := rep(entry("BenchmarkA-2", 50), entry("BenchmarkB/workers=2-2", 100))
+	newRep.GoMaxProcs = 2
+	res := Diff(oldRep, newRep, DiffOptions{})
+	if len(res.Entries) != 2 {
+		t.Fatalf("got %d rows, want 2 paired rows:\n%s", len(res.Entries), res)
+	}
+	if res.Entries[0].Verdict != Improvement || res.Entries[1].Verdict != Unchanged {
+		t.Fatalf("verdicts %s/%s, want improvement/unchanged:\n%s",
+			res.Entries[0].Verdict, res.Entries[1].Verdict, res)
+	}
+}
+
 func TestDiffDefaultThreshold(t *testing.T) {
 	res := Diff(rep(entry("BenchmarkA-8", 100)), rep(entry("BenchmarkA-8", 109)), DiffOptions{})
 	if res.Threshold != 0.10 {

@@ -80,7 +80,6 @@ type kdExpansion struct {
 	parent  []int32 // parent slot; -1 at the root
 	leafOf  []int32 // leaf slot of each point
 	settled []bool
-	cand    []int
 	// count is the number of neighbours verified so far in the current
 	// query; while it is below minPts every candidate is verified.
 	count, minPts int
@@ -139,11 +138,10 @@ func (x *kdExpansion) Expand(i int, eps float64, minPts int, out []int) (bool, [
 // rangeStore: the kernel-order squared-gap sum lower-bounds every boxed
 // row's computed distance), so it reaches every leaf holding a neighbour in
 // the full query's order. Once the core test is decided it also skips
-// subtrees without open points and settled leaf entries; the output is the
-// open subsequence of the full query.
+// subtrees without open points. Settled neighbours are dropped from every
+// leaf's result, so the output is the open subsequence of the full query.
 func (x *kdExpansion) walk(slot int32, q geom.Point, eps, eps2 float64, out []int) []int {
-	counting := x.count < x.minPts
-	if !counting && x.open[slot] == 0 {
+	if x.count >= x.minPts && x.open[slot] == 0 {
 		return out
 	}
 	t := x.t
@@ -164,18 +162,8 @@ func (x *kdExpansion) walk(slot int32, q geom.Point, eps, eps2 float64, out []in
 		out = x.walk(n.left, q, eps, eps2, out)
 		return x.walk(n.right, q, eps, eps2, out)
 	}
-	ids := t.order[n.left:n.right]
-	if !counting {
-		x.cand = x.cand[:0]
-		for _, id := range ids {
-			if !x.settled[id] {
-				x.cand = append(x.cand, id)
-			}
-		}
-		return t.store.VerifyRangeSq(q, x.cand, eps2, out)
-	}
 	start := len(out)
-	out = t.store.VerifyRangeSq(q, ids, eps2, out)
+	out = t.store.VerifyRangeSq(q, t.order[n.left:n.right], eps2, out)
 	x.count += len(out) - start
 	return dropSettled(out, start, x.settled)
 }
